@@ -102,6 +102,7 @@ pub fn io_scope<'env, R>(workers: usize, body: impl FnOnce(&IoScope<'_, 'env>) -
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn jobs_run_and_finish_before_scope_returns() {
@@ -175,5 +176,30 @@ mod tests {
             10,
             "queued jobs behind the panicking one still ran"
         );
+    }
+
+    #[test]
+    fn teardown_never_strands_a_worker_waiting_for_the_disconnect() {
+        // Open and close empty scopes for a fixed time.  Each teardown
+        // drops the last sender while the workers may sit between their
+        // empty-queue check and their wait; a lost wake-up there leaves
+        // a worker blocked forever and `io_scope` joining it.  The loop
+        // runs on a helper thread so a hang fails the watchdog instead
+        // of stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let looper = std::thread::spawn(move || {
+            let stop = Instant::now() + Duration::from_secs(5);
+            let mut scopes = 0u64;
+            while Instant::now() < stop {
+                io_scope(2, |_| {});
+                scopes += 1;
+            }
+            let _ = tx.send(scopes);
+        });
+        let scopes = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("io_scope teardown hung: a worker missed the disconnect");
+        looper.join().unwrap();
+        assert!(scopes > 0);
     }
 }

@@ -15,9 +15,14 @@
 //! stream)`: deterministic and replayable.
 //!
 //! **Flush discipline.**  A bucket is released when any of:
+//! - its *oldest* member found nothing queued ahead of it on its shard
+//!   (admitted with `queued_ahead_us == 0`): there is nothing to wait
+//!   behind, and combining pays only when there is something to
+//!   combine, so the member leaves in the very submission that brought
+//!   it — a batch of one with zero formation wait;
 //! - it reaches [`BatchConfig::max_batch`] members;
 //! - a later submission's virtual arrival time shows the bucket's
-//!   *oldest* member has waited [`BatchConfig::formation_delay_us`]
+//!   oldest member has waited [`BatchConfig::formation_delay_us`]
 //!   (virtual time only advances at submissions, so this check runs at
 //!   every submit);
 //! - the caller flushes explicitly ([`Service::flush_batches`]) or the
@@ -32,6 +37,7 @@
 //! [`Service::submit`]: crate::Service::submit
 //! [`Service::flush_batches`]: crate::Service::flush_batches
 
+use crate::admission::Admission;
 use crate::jobs::JobKind;
 use crate::shard::ShardJob;
 use std::collections::BTreeMap;
@@ -118,8 +124,11 @@ impl Batcher {
     }
 
     /// Release every bucket that is due as of virtual time `now_us`:
-    /// full to `max_batch`, or oldest member has waited
-    /// `formation_delay_us`.  Buckets release in `(shard, bucket)` key
+    /// its oldest member was admitted with nothing queued ahead of it,
+    /// it is full to `max_batch`, or its oldest member has waited
+    /// `formation_delay_us`.  Since the submitter calls this right
+    /// after each push, a request that finds its shard idle leaves in
+    /// its own submission.  Buckets release in `(shard, bucket)` key
     /// order — deterministic, like everything on the submitter thread.
     pub(crate) fn due(&mut self, now_us: u64) -> Vec<ReadyBatch> {
         let max_batch = self.config.max_batch.max(1);
@@ -129,9 +138,10 @@ impl Batcher {
             .iter()
             .filter(|(_, jobs)| {
                 jobs.len() >= max_batch
-                    || jobs
-                        .first()
-                        .is_some_and(|j| j.request.vtime_us + delay <= now_us)
+                    || jobs.first().is_some_and(|j| {
+                        matches!(j.admit, Admission::Admit { queued_ahead_us: 0 })
+                            || j.request.vtime_us + delay <= now_us
+                    })
             })
             .map(|(&key, _)| key)
             .collect();

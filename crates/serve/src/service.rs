@@ -337,10 +337,12 @@ impl Service {
     }
 
     /// Release every pending bucket immediately, regardless of fill or
-    /// age.  Call this before waiting on outstanding [`Ticket`]s when no
-    /// further submissions are coming — a ticket in an unreleased bucket
-    /// never resolves on its own, because batch formation is driven by
-    /// the (now silent) submission stream.  [`Service::shutdown`]
+    /// age.  A batchable request that found nothing queued ahead of it
+    /// on its shard leaves in its own submission, but one that found
+    /// modelled backlog waits in its bucket, and such a ticket never
+    /// resolves on its own: batch formation is driven by the submission
+    /// stream.  Call this before waiting on outstanding [`Ticket`]s when
+    /// no further submissions are coming.  [`Service::shutdown`]
     /// flushes too, so drop-and-drain never strands a request.
     pub fn flush_batches(&mut self) {
         for ready in self.batcher.flush_all() {
@@ -349,9 +351,9 @@ impl Service {
     }
 
     /// Submit and wait — the synchronous convenience path.  Flushes the
-    /// batcher first: a lone synchronous caller must never deadlock
-    /// waiting on a bucket that only its own future submissions could
-    /// fill.
+    /// batcher first: a request queued behind modelled backlog waits in
+    /// its bucket, and a lone synchronous caller must never deadlock on
+    /// a bucket that only its own future submissions could release.
     pub fn call(&mut self, request: Request) -> Result<Response, ServeError> {
         let ticket = self.submit(request);
         self.flush_batches();

@@ -2,7 +2,8 @@
 //! the service and down to the batched kernels:
 //!
 //! 1. **Degenerate shapes** — a batch of one and order-1 systems both
-//!    complete through the batched path, bit-identical to direct runs.
+//!    complete through the batched path, bit-identical to direct runs;
+//!    a lone request on an idle shard leaves at once, unflushed.
 //! 2. **Bucket boundaries** — 64 and 65 land in different power-of-two
 //!    buckets and never share a batch.
 //! 3. **Class mixing** — admission classes shape *admission*, not batch
@@ -20,12 +21,13 @@
 use cholcomm::matrix::{lower_digest, parallel, KernelImpl, Matrix};
 use cholcomm::serve::engine::{factor_resumable, Checkpoint, FactorOutcome, PanelControl};
 use cholcomm::serve::{
-    batched_request_cost_us, bucket_of, build, factor_batch, factor_cost_us, BatchConfig, Event,
+    batch_cost_us, batched_request_cost_us, bucket_of, build, factor_batch, factor_cost_us, BatchConfig, Event,
     JobKind, Priority, Request, ServeError, Service, ServiceConfig, ServiceReport, ShardConfig,
     Source, Ticket, Watermarks,
 };
 use cholcomm::faults::FaultPlan;
 use rayon::ThreadPoolBuilder;
+use std::time::Duration;
 
 const BLOCK: usize = 16;
 
@@ -56,6 +58,21 @@ fn batched_config() -> ServiceConfig {
         },
         ..base
     }
+}
+
+/// An unbatchable request at virtual time 0.  Submitted first, it gives
+/// the shard modelled backlog, so the batchable requests behind it wait
+/// in their bucket instead of leaving alone on an idle shard.
+fn backlog_head() -> Request {
+    request(JobKind::GpPosterior, 0, 16, Priority::Batch, 0)
+}
+
+/// `requests` behind a [`backlog_head`]; outcome `i + 1` answers
+/// `requests[i]`.
+fn behind_head(requests: &[Request]) -> Vec<Request> {
+    std::iter::once(backlog_head())
+        .chain(requests.iter().copied())
+        .collect()
 }
 
 /// Reference digest: the sequential resumable engine, no service.
@@ -100,13 +117,43 @@ fn a_batch_of_one_completes_bit_identically() {
 }
 
 #[test]
+fn a_lone_request_on_an_idle_shard_leaves_without_a_flush() {
+    let mut service = Service::start(batched_config(), &FaultPlan::none());
+    let ticket = service.submit(request(JobKind::Factor, 9, 24, Priority::Batch, 1_000));
+    // No flush and no later submission: the request must resolve on
+    // its own.  Wait on a helper thread so a regression fails here
+    // instead of hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait());
+    });
+    let resp = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a lone request on an idle shard must not wait for a flush")
+        .expect("completed");
+    waiter.join().unwrap();
+    assert_eq!(resp.source, Source::Batched);
+    assert_eq!(
+        resp.factor_digest,
+        direct_digest(JobKind::Factor, 9, 24, KernelImpl::default())
+    );
+    // No formation wait: the latency is the batch of one's modelled
+    // work, started at the request's own arrival.
+    assert_eq!(resp.virt_latency_us, batch_cost_us(bucket_of(24), 1, BLOCK));
+    let report = service.shutdown();
+    assert!(report.records.iter().any(|r| r.req == 0
+        && matches!(r.event, Event::Batched { bucket_n: 32, batch: 1 })));
+    assert_eq!(report.metrics.counters.batches_dispatched, 1);
+}
+
+#[test]
 fn order_one_systems_batch_and_serve() {
     assert_eq!(bucket_of(1), 1);
     let requests: Vec<Request> = (0..5)
         .map(|i| request(JobKind::Factor, 100 + i, 1, Priority::Batch, 0))
         .collect();
-    let (report, outcomes) = drive(batched_config(), &requests);
-    for (r, outcome) in requests.iter().zip(&outcomes) {
+    let (report, outcomes) = drive(batched_config(), &behind_head(&requests));
+    for (r, outcome) in requests.iter().zip(&outcomes[1..]) {
         let (source, digest) = outcome.as_ref().expect("completed").to_owned();
         assert_eq!(source, Source::Batched);
         assert_eq!(digest, direct_digest(r.kind, r.key, 1, KernelImpl::default()));
@@ -148,8 +195,8 @@ fn mixed_priority_classes_share_one_bucket() {
         .enumerate()
         .map(|(i, &class)| request(JobKind::Factor, 200 + i as u64, 32, class, 0))
         .collect();
-    let (report, outcomes) = drive(batched_config(), &requests);
-    for (r, outcome) in requests.iter().zip(&outcomes) {
+    let (report, outcomes) = drive(batched_config(), &behind_head(&requests));
+    for (r, outcome) in requests.iter().zip(&outcomes[1..]) {
         let (source, digest) = outcome.as_ref().expect("completed").to_owned();
         assert_eq!(source, Source::Batched);
         assert_eq!(digest, direct_digest(r.kind, r.key, r.n, KernelImpl::default()));
@@ -161,7 +208,9 @@ fn mixed_priority_classes_share_one_bucket() {
 #[test]
 fn deadline_expiry_in_a_bucket_is_a_typed_cancellation() {
     let mut service = Service::start(batched_config(), &FaultPlan::none());
-    // Parked in the order-16 bucket with a 50us budget...
+    let head = service.submit(backlog_head());
+    // Parked behind the head's backlog in the order-16 bucket with a
+    // 50us budget...
     let mut doomed = request(JobKind::Factor, 1, 16, Priority::Batch, 0);
     doomed.deadline_us = 50;
     let ticket = service.submit(doomed);
@@ -177,14 +226,15 @@ fn deadline_expiry_in_a_bucket_is_a_typed_cancellation() {
     assert_eq!(panel, 0, "cancelled before any panel ran");
     assert!(elapsed_us >= budget_us);
     assert!(bystander.wait().is_ok());
+    assert!(head.wait().is_ok());
 
     let report = service.shutdown();
     assert_eq!(report.metrics.counters.deadline_canceled, 1);
     // The doomed request was batched, cancelled loudly, and never
     // factored: no silent late completion.
-    assert!(report.records.iter().any(|r| r.req == 0
+    assert!(report.records.iter().any(|r| r.req == 1
         && matches!(r.event, Event::Batched { bucket_n: 16, batch: 1 })));
-    assert!(report.records.iter().any(|r| r.req == 0
+    assert!(report.records.iter().any(|r| r.req == 1
         && matches!(r.event, Event::DeadlineCanceled { panel: 0, .. })));
     assert_eq!(report.metrics.counters.batched_factorizations, 0);
 }
